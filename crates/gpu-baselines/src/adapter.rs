@@ -8,7 +8,8 @@
 use gpu_device::Device;
 use optix_sim::LaunchMetrics;
 use rtx_query::{
-    BatchOutcome, Capabilities, IndexBuildMetrics, IndexError, IndexSpec, Registry, SecondaryIndex,
+    BatchOutcome, Capabilities, IndexBuildMetrics, IndexError, IndexSpec, MemoryUsage, Registry,
+    SecondaryIndex,
 };
 
 use crate::bplus_tree::BPlusTree;
@@ -36,7 +37,7 @@ impl<T: GpuIndex> GpuIndexAdapter<T> {
     }
 
     /// The wrapped baseline index.
-    pub fn inner(&self) -> &T {
+    pub fn index(&self) -> &T {
         &self.inner
     }
 
@@ -71,8 +72,8 @@ impl<T: GpuIndex> SecondaryIndex for GpuIndexAdapter<T> {
         self.inner.key_count()
     }
 
-    fn memory_bytes(&self) -> u64 {
-        self.inner.memory_bytes()
+    fn memory_usage(&self) -> MemoryUsage {
+        MemoryUsage::base_only(self.inner.memory_bytes())
     }
 
     fn build_metrics(&self) -> IndexBuildMetrics {

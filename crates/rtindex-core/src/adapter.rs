@@ -6,7 +6,8 @@
 //! optional copy and threads it into every batch.
 
 use rtx_query::{
-    BatchOutcome, Capabilities, IndexBuildMetrics, IndexError, IndexSpec, Registry, SecondaryIndex,
+    BatchOutcome, Capabilities, IndexBuildMetrics, IndexError, IndexSpec, MemoryUsage, Registry,
+    SecondaryIndex,
 };
 
 use crate::config::RtIndexConfig;
@@ -37,7 +38,7 @@ impl RxAdapter {
     }
 
     /// The wrapped index.
-    pub fn inner(&self) -> &RtIndex {
+    pub fn index(&self) -> &RtIndex {
         &self.index
     }
 
@@ -59,8 +60,8 @@ impl SecondaryIndex for RxAdapter {
         self.index.key_count()
     }
 
-    fn memory_bytes(&self) -> u64 {
-        self.index.index_memory_bytes()
+    fn memory_usage(&self) -> MemoryUsage {
+        MemoryUsage::base_only(self.index.index_memory_bytes())
     }
 
     fn build_metrics(&self) -> IndexBuildMetrics {

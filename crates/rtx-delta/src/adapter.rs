@@ -54,7 +54,7 @@ impl DynamicAdapter {
     }
 
     /// The wrapped dynamic index.
-    pub fn inner(&self) -> &DynamicRtIndex {
+    pub fn index(&self) -> &DynamicRtIndex {
         &self.index
     }
 
@@ -62,7 +62,7 @@ impl DynamicAdapter {
     /// [`poll_compaction`](DynamicRtIndex::poll_compaction) /
     /// [`wait_for_compaction`](DynamicRtIndex::wait_for_compaction) on a
     /// background-compacting index.
-    pub fn inner_mut(&mut self) -> &mut DynamicRtIndex {
+    pub fn index_mut(&mut self) -> &mut DynamicRtIndex {
         &mut self.index
     }
 
@@ -86,10 +86,6 @@ impl SecondaryIndex for DynamicAdapter {
 
     fn key_count(&self) -> usize {
         self.index.len()
-    }
-
-    fn memory_bytes(&self) -> u64 {
-        self.index.memory_bytes()
     }
 
     fn build_metrics(&self) -> IndexBuildMetrics {

@@ -27,9 +27,8 @@
 use std::path::{Path, PathBuf};
 
 use rtx_query::{
-    BatchOutcome, Capabilities, DurableStats, ExecArena, IndexBuildMetrics, IndexError, IndexSpec,
-    MemoryUsage, QueryBatch, QueryOps, QueryOutcome, Registry, SecondaryIndex, UpdatableIndex,
-    UpdateReport,
+    Capabilities, DurableStats, IndexBuildMetrics, IndexError, IndexSpec, MemoryUsage, Registry,
+    SecondaryIndex, UpdatableIndex, UpdateReport,
 };
 
 use crate::config::DurableConfig;
@@ -162,11 +161,6 @@ impl DurableIndex {
         })
     }
 
-    /// The wrapped backend (for inspection in tests and tooling).
-    pub fn inner(&self) -> &dyn UpdatableIndex {
-        &*self.inner
-    }
-
     fn next_bsn(&mut self) -> u64 {
         let bsn = self.bsn;
         self.bsn += 1;
@@ -211,7 +205,7 @@ impl DurableIndex {
         let was_in_flight = self.inner.reorganisation_in_flight();
         self.log(payload)?;
         self.commit_log()?;
-        let report = apply(&mut *self.inner)?;
+        let mut report = apply(&mut *self.inner)?;
         // Annotations: no-ops for index replay (the policy re-derives them)
         // but they make the log self-describing for rowID-exact oracle
         // replay. A crash can tear them off the tail; recovery re-derives
@@ -223,7 +217,8 @@ impl DurableIndex {
             self.log(WalPayload::Freeze)?;
         }
         self.commit_log()?;
-        self.maybe_checkpoint()?;
+        // A checkpoint compaction is this write's reorganisation too.
+        report.reorganisations += self.maybe_checkpoint()?;
         Ok(report)
     }
 
@@ -238,15 +233,16 @@ impl DurableIndex {
     }
 
     /// Runs an automatic checkpoint when the WAL has outgrown the
-    /// configured threshold. A backend without explicit compaction cannot
-    /// checkpoint; its WAL simply keeps growing (documented trade-off).
-    fn maybe_checkpoint(&mut self) -> Result<(), IndexError> {
+    /// configured threshold, returning the reorganisations its compaction
+    /// ran. A backend without explicit compaction cannot checkpoint; its
+    /// WAL simply keeps growing (documented trade-off).
+    fn maybe_checkpoint(&mut self) -> Result<u64, IndexError> {
         if self.wal.bytes() < self.config.snapshot_wal_bytes {
-            return Ok(());
+            return Ok(0);
         }
         match self.checkpoint_now() {
-            Ok(_) => Ok(()),
-            Err(IndexError::UnsupportedOperation { .. }) => Ok(()),
+            Ok(compaction) => Ok(compaction.reorganisations),
+            Err(IndexError::UnsupportedOperation { .. }) => Ok(0),
             Err(e) => Err(e),
         }
     }
@@ -256,14 +252,14 @@ impl DurableIndex {
     /// at `b` and truncate the WAL through `b`. A crash at any point
     /// replays to the same state: before the snapshot lands, recovery
     /// re-runs the compaction from the logged record; after it, the record
-    /// is gone but the snapshot covers it.
-    fn checkpoint_now(&mut self) -> Result<u64, IndexError> {
+    /// is gone but the snapshot covers it. Returns the compaction's report.
+    fn checkpoint_now(&mut self) -> Result<UpdateReport, IndexError> {
         let bsn = self.next_bsn();
         self.wal
             .append(&WalRecord::new(bsn, WalPayload::Compact))
             .map_err(|e| io_err(&self.label, e))?;
         self.wal.sync().map_err(|e| io_err(&self.label, e))?;
-        self.inner.compact()?;
+        let compaction = self.inner.compact()?;
         let rows = self
             .inner
             .checkpoint_rows()
@@ -286,7 +282,7 @@ impl DurableIndex {
         self.snapshots += 1;
         self.last_snapshot_bsn = bsn;
         self.last_snapshot_bytes = bytes;
-        Ok(1)
+        Ok(compaction)
     }
 }
 
@@ -395,6 +391,8 @@ fn consume_annotations(
     i
 }
 
+/// Reads forward to the wrapped backend through the link; the wrapper
+/// adds its name, its unsynced WAL bytes and its durability counters.
 impl SecondaryIndex for DurableIndex {
     fn name(&self) -> &str {
         &self.label
@@ -402,10 +400,6 @@ impl SecondaryIndex for DurableIndex {
 
     fn key_count(&self) -> usize {
         self.inner.key_count()
-    }
-
-    fn memory_bytes(&self) -> u64 {
-        self.inner.memory_bytes()
     }
 
     fn build_metrics(&self) -> IndexBuildMetrics {
@@ -426,6 +420,10 @@ impl SecondaryIndex for DurableIndex {
         usage
     }
 
+    fn inner(&self) -> Option<&dyn SecondaryIndex> {
+        Some(&*self.inner)
+    }
+
     fn durability_stats(&self) -> Option<DurableStats> {
         Some(DurableStats {
             wal_bytes: self.wal.bytes(),
@@ -436,43 +434,13 @@ impl SecondaryIndex for DurableIndex {
             replayed_batches: self.replayed_batches,
         })
     }
-
-    fn point_chunk(&self, queries: &[u64], fetch_values: bool) -> Result<BatchOutcome, IndexError> {
-        self.inner.point_chunk(queries, fetch_values)
-    }
-
-    fn range_chunk(
-        &self,
-        ranges: &[(u64, u64)],
-        fetch_values: bool,
-    ) -> Result<BatchOutcome, IndexError> {
-        self.inner.range_chunk(ranges, fetch_values)
-    }
-
-    /// Delegates whole-batch execution to the wrapped backend so its own
-    /// `execute` strategy (e.g. sharded scatter/gather parallelism) is
-    /// preserved rather than flattened through the chunk hooks.
-    fn execute(&self, batch: &QueryBatch) -> Result<QueryOutcome, IndexError> {
-        self.inner.execute(batch)
-    }
-
-    fn execute_in(
-        &self,
-        batch: &QueryBatch,
-        arena: &mut ExecArena,
-    ) -> Result<QueryOutcome, IndexError> {
-        self.inner.execute_in(batch, arena)
-    }
-
-    fn execute_ops_in(
-        &self,
-        ops: &QueryOps,
-        arena: &mut ExecArena,
-    ) -> Result<QueryOutcome, IndexError> {
-        self.inner.execute_ops_in(ops, arena)
-    }
 }
 
+/// Every mutation is logged before it applies, so the wrapper exposes no
+/// mutable link ([`UpdatableIndex::inner_mut`] stays `None`): a mutating
+/// hook it does not log keeps the leaf default instead of bypassing the
+/// WAL. The read-only hooks forward through
+/// [`UpdatableIndex::inner_updatable`].
 impl UpdatableIndex for DurableIndex {
     fn insert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError> {
         // Validate *before* logging: a mismatched batch must not reach the
@@ -509,6 +477,10 @@ impl UpdatableIndex for DurableIndex {
         )
     }
 
+    fn inner_updatable(&self) -> Option<&dyn UpdatableIndex> {
+        Some(&*self.inner)
+    }
+
     fn poll_reorganisation(&mut self) -> Result<u64, IndexError> {
         self.land_swaps()
     }
@@ -522,10 +494,6 @@ impl UpdatableIndex for DurableIndex {
         Ok(landed)
     }
 
-    fn reorganisation_in_flight(&self) -> bool {
-        self.inner.reorganisation_in_flight()
-    }
-
     /// An explicit compaction is logged like any other reorganisation point
     /// (no snapshot — use [`checkpoint`](UpdatableIndex::checkpoint) for
     /// that).
@@ -535,12 +503,8 @@ impl UpdatableIndex for DurableIndex {
         self.inner.compact()
     }
 
-    fn checkpoint_rows(&self) -> Option<Vec<(u64, u64)>> {
-        self.inner.checkpoint_rows()
-    }
-
     fn checkpoint(&mut self) -> Result<u64, IndexError> {
-        self.checkpoint_now()
+        self.checkpoint_now().map(|_| 1)
     }
 }
 

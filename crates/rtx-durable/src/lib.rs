@@ -156,7 +156,7 @@ pub fn open_or_create(
                 let meta = Meta {
                     base: base.to_string(),
                     has_values: ix.has_value_column(),
-                    router: Some(ix.inner().router_config().clone()),
+                    router: Some(ix.sharded().router_config().clone()),
                 };
                 write_meta(&dir, &meta).map_err(|e| io_err(&label, e))?;
                 Ok(Box::new(ix))

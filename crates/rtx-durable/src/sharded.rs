@@ -37,9 +37,8 @@ use std::sync::Arc;
 
 use gpu_device::executor::parallel_map;
 use rtx_query::{
-    BatchOutcome, Capabilities, DurableStats, ExecArena, IndexBuildMetrics, IndexError, IndexSpec,
-    MemoryUsage, QueryBatch, QueryOps, QueryOutcome, Registry, SecondaryIndex, ShardSpec,
-    UpdatableIndex, UpdateReport, MISS,
+    Capabilities, DurableStats, IndexBuildMetrics, IndexError, IndexSpec, MemoryUsage,
+    RebalanceReport, Registry, SecondaryIndex, ShardSpec, UpdatableIndex, UpdateReport, MISS,
 };
 use rtx_shard::{RouterConfig, ShardedIndex};
 
@@ -218,7 +217,7 @@ impl ShardedDurableIndex {
     }
 
     /// The wrapped sharded backend (for inspection and the manifest).
-    pub fn inner(&self) -> &ShardedIndex {
+    pub fn sharded(&self) -> &ShardedIndex {
         &self.inner
     }
 
@@ -328,13 +327,16 @@ impl ShardedDurableIndex {
         self.shard_wals.iter().map(|w| w.bytes()).sum::<u64>() + self.journal.bytes()
     }
 
-    fn maybe_checkpoint(&mut self) -> Result<(), IndexError> {
+    /// Runs an automatic checkpoint past the WAL threshold, returning the
+    /// reorganisations its compaction ran (see
+    /// [`DurableIndex`](crate::DurableIndex)).
+    fn maybe_checkpoint(&mut self) -> Result<u64, IndexError> {
         if self.total_wal_bytes() < self.config.snapshot_wal_bytes {
-            return Ok(());
+            return Ok(0);
         }
         match self.checkpoint_now() {
-            Ok(_) => Ok(()),
-            Err(IndexError::UnsupportedOperation { .. }) => Ok(()),
+            Ok(compaction) => Ok(compaction.reorganisations),
+            Err(IndexError::UnsupportedOperation { .. }) => Ok(0),
             Err(e) => Err(e),
         }
     }
@@ -342,8 +344,9 @@ impl ShardedDurableIndex {
     /// The sharded checkpoint protocol: a `Compact` record in every shard
     /// WAL (forced to disk) committed in the journal, a forced compaction
     /// to clean state, one snapshot per shard plus the root checkpoint, and
-    /// truncation of every log through the checkpoint bsn.
-    fn checkpoint_now(&mut self) -> Result<u64, IndexError> {
+    /// truncation of every log through the checkpoint bsn. Returns the
+    /// compaction's report.
+    fn checkpoint_now(&mut self) -> Result<UpdateReport, IndexError> {
         let bsn = self.next_bsn();
         for wal in &mut self.shard_wals {
             wal.append(&WalRecord::new(bsn, WalPayload::Compact))
@@ -355,7 +358,7 @@ impl ShardedDurableIndex {
             .append(&WalRecord::new(bsn, WalPayload::Commit { next_row }))
             .and_then(|_| self.journal.sync())
             .map_err(|e| io_err(&self.label, e))?;
-        self.inner.compact()?;
+        let compaction = self.inner.compact()?;
         let shard_rows = self
             .inner
             .shard_checkpoint_rows()
@@ -382,7 +385,7 @@ impl ShardedDurableIndex {
         self.snapshots += shard_rows.len() as u64 + 1;
         self.last_snapshot_bsn = bsn;
         self.last_snapshot_bytes = bytes;
-        Ok(1)
+        Ok(compaction)
     }
 }
 
@@ -556,6 +559,9 @@ fn mirror_delete(mirror: &mut [Option<(u64, u32)>], keys: &[u64]) {
     }
 }
 
+/// Reads forward to the sharded backend through the link (scatter/gather
+/// execution, shard load); the wrapper adds its name, its unsynced WAL
+/// bytes and its durability counters.
 impl SecondaryIndex for ShardedDurableIndex {
     fn name(&self) -> &str {
         &self.label
@@ -563,10 +569,6 @@ impl SecondaryIndex for ShardedDurableIndex {
 
     fn key_count(&self) -> usize {
         self.inner.key_count()
-    }
-
-    fn memory_bytes(&self) -> u64 {
-        self.inner.memory_bytes()
     }
 
     fn build_metrics(&self) -> IndexBuildMetrics {
@@ -592,6 +594,10 @@ impl SecondaryIndex for ShardedDurableIndex {
         usage
     }
 
+    fn inner(&self) -> Option<&dyn SecondaryIndex> {
+        Some(&self.inner)
+    }
+
     fn durability_stats(&self) -> Option<DurableStats> {
         Some(DurableStats {
             wal_bytes: self.total_wal_bytes(),
@@ -602,42 +608,10 @@ impl SecondaryIndex for ShardedDurableIndex {
             replayed_batches: self.replayed_batches,
         })
     }
-
-    fn point_chunk(&self, queries: &[u64], fetch_values: bool) -> Result<BatchOutcome, IndexError> {
-        self.inner.point_chunk(queries, fetch_values)
-    }
-
-    fn range_chunk(
-        &self,
-        ranges: &[(u64, u64)],
-        fetch_values: bool,
-    ) -> Result<BatchOutcome, IndexError> {
-        self.inner.range_chunk(ranges, fetch_values)
-    }
-
-    /// Delegates to the sharded scatter/gather path (concurrent per-shard
-    /// execution, global rowID translation).
-    fn execute(&self, batch: &QueryBatch) -> Result<QueryOutcome, IndexError> {
-        self.inner.execute(batch)
-    }
-
-    fn execute_in(
-        &self,
-        batch: &QueryBatch,
-        arena: &mut ExecArena,
-    ) -> Result<QueryOutcome, IndexError> {
-        self.inner.execute_in(batch, arena)
-    }
-
-    fn execute_ops_in(
-        &self,
-        ops: &QueryOps,
-        arena: &mut ExecArena,
-    ) -> Result<QueryOutcome, IndexError> {
-        self.inner.execute_ops_in(ops, arena)
-    }
 }
 
+/// Like [`DurableIndex`](crate::DurableIndex), every mutation is logged,
+/// so there is no mutable link to the sharded backend.
 impl UpdatableIndex for ShardedDurableIndex {
     fn insert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError> {
         self.check_value_batch(keys, values)?;
@@ -656,8 +630,8 @@ impl UpdatableIndex for ShardedDurableIndex {
             },
             next_row_after,
         )?;
-        let report = self.inner.insert(keys, values)?;
-        self.maybe_checkpoint()?;
+        let mut report = self.inner.insert(keys, values)?;
+        report.reorganisations += self.maybe_checkpoint()?;
         Ok(report)
     }
 
@@ -672,8 +646,8 @@ impl UpdatableIndex for ShardedDurableIndex {
             |r| WalPayload::Delete { keys: r.keys },
             next_row_after,
         )?;
-        let report = self.inner.delete(keys)?;
-        self.maybe_checkpoint()?;
+        let mut report = self.inner.delete(keys)?;
+        report.reorganisations += self.maybe_checkpoint()?;
         Ok(report)
     }
 
@@ -694,8 +668,8 @@ impl UpdatableIndex for ShardedDurableIndex {
             },
             next_row_after,
         )?;
-        let report = self.inner.upsert(keys, values)?;
-        self.maybe_checkpoint()?;
+        let mut report = self.inner.upsert(keys, values)?;
+        report.reorganisations += self.maybe_checkpoint()?;
         Ok(report)
     }
 
@@ -722,8 +696,8 @@ impl UpdatableIndex for ShardedDurableIndex {
         Ok(total)
     }
 
-    fn reorganisation_in_flight(&self) -> bool {
-        self.inner.reorganisation_in_flight()
+    fn inner_updatable(&self) -> Option<&dyn UpdatableIndex> {
+        Some(&self.inner)
     }
 
     /// An explicit compaction reaches every shard; each shard WAL gets the
@@ -741,7 +715,16 @@ impl UpdatableIndex for ShardedDurableIndex {
     }
 
     fn checkpoint(&mut self) -> Result<u64, IndexError> {
-        self.checkpoint_now()
+        self.checkpoint_now().map(|_| 1)
+    }
+
+    /// Refused: a migration moves rows between shard WALs, and that move
+    /// is not logged, so a crash mid-migration could not be replayed.
+    fn rebalance_shards(&mut self) -> Result<RebalanceReport, IndexError> {
+        Err(IndexError::UnsupportedOperation {
+            backend: self.label.clone().into(),
+            operation: "shard rebalancing on a durable index (migrations are not logged)",
+        })
     }
 }
 

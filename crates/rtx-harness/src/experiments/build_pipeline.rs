@@ -223,13 +223,13 @@ pub fn run_compaction_stall(scale: &ExperimentScale, mode: CompactionMode) -> St
     }
     // Land any still-running rebuild so both modes finish in a settled
     // state (not timed — a server would absorb this on the next write).
-    if index.inner_mut().wait_for_compaction().is_some() {
+    if index.index_mut().wait_for_compaction().is_some() {
         reorganisations += 1;
     }
     stalls.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
 
     let quality = index
-        .inner()
+        .index()
         .last_compaction()
         .map(|event| event.quality)
         .unwrap_or_else(|| rtx_bvh::BvhQuality::measure(&rtx_bvh::Bvh::new(vec![], vec![], false)));

@@ -22,6 +22,8 @@
 
 use std::sync::Mutex;
 
+use crate::batch::QueryOps;
+
 /// Reusable scratch buffers for one mixed-batch execution.
 ///
 /// Obtain one with [`ExecArena::new`] (or from an [`ArenaPool`]) and thread
@@ -31,6 +33,9 @@ use std::sync::Mutex;
 /// is always correct; reuse only buys back the allocations.
 #[derive(Debug, Default)]
 pub struct ExecArena {
+    /// The structure-of-arrays form of the batch being executed through
+    /// [`execute_in`](crate::SecondaryIndex::execute_in).
+    pub(crate) ops: QueryOps,
     /// Submission-order slots of the point lookups.
     pub(crate) point_slots: Vec<usize>,
     /// Point keys, contiguous, parallel to `point_slots`.

@@ -197,10 +197,17 @@ impl QueryOps {
     /// Builds the SoA layout from an enum-stream batch in one pass.
     pub fn from_batch(batch: &QueryBatch) -> Self {
         let mut ops = QueryOps::new();
-        ops.append_batch(batch);
-        ops.fetch_values = batch.fetches_values();
-        ops.chunk_size = batch.chunk_size();
+        ops.refill(batch);
         ops
+    }
+
+    /// Replaces the stream with `batch` — its operations and its fetch and
+    /// chunk settings — in place, keeping every buffer's capacity.
+    pub fn refill(&mut self, batch: &QueryBatch) {
+        self.clear();
+        self.append_batch(batch);
+        self.fetch_values = batch.fetches_values();
+        self.chunk_size = batch.chunk_size();
     }
 
     fn push_tag(&mut self, is_range: bool) {

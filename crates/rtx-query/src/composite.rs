@@ -30,15 +30,12 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::arena::ExecArena;
-use crate::batch::{QueryBatch, QueryOps};
+use crate::batch::QueryBatch;
 use crate::error::IndexError;
 use crate::index::{SecondaryIndex, UpdatableIndex};
 use crate::keys::{EncodedKey, EncodedRange, KeySchema, KeyTuple, TypedBatch};
 use crate::registry::{parse_durable_name, IndexSpec, Registry};
-use crate::types::{
-    Capabilities, DurableStats, IndexBuildMetrics, MemoryUsage, QueryOutcome, UpdateReport,
-};
+use crate::types::{Capabilities, IndexBuildMetrics, MemoryUsage, QueryOutcome, UpdateReport};
 
 /// Mapped dictionary values are spaced `2^GAP_BITS` apart at build time,
 /// leaving that many midpoint-insert levels between any two build keys
@@ -170,11 +167,6 @@ pub struct CompositeIndex<I: ?Sized> {
 }
 
 impl<I: ?Sized + SecondaryIndex> CompositeIndex<I> {
-    /// The inner backend the wrapper delegates to.
-    pub fn inner(&self) -> &I {
-        &self.inner
-    }
-
     /// Compiles a typed batch into the raw batch the inner backend runs:
     /// stateless encoding for the direct codec, dictionary mapping for
     /// wide schemas.
@@ -277,80 +269,58 @@ impl CompositeIndex<dyn UpdatableIndex> {
     }
 }
 
-/// The [`SecondaryIndex`] delegation shared by the read-only and updatable
-/// wrappers (two concrete `dyn` inner types, one behaviour).
-macro_rules! delegate_secondary_index {
-    () => {
-        fn name(&self) -> &str {
-            &self.name
-        }
-        fn key_count(&self) -> usize {
-            self.inner.key_count()
-        }
-        fn memory_bytes(&self) -> u64 {
-            self.inner.memory_bytes() + self.dict_bytes()
-        }
-        fn build_metrics(&self) -> IndexBuildMetrics {
-            self.inner.build_metrics()
-        }
-        fn capabilities(&self) -> Capabilities {
-            self.inner.capabilities()
-        }
-        fn has_value_column(&self) -> bool {
-            self.inner.has_value_column()
-        }
-        fn memory_usage(&self) -> MemoryUsage {
-            let mut usage = self.inner.memory_usage();
-            usage.base_bytes += self.dict_bytes();
-            usage
-        }
-        fn durability_stats(&self) -> Option<DurableStats> {
-            self.inner.durability_stats()
-        }
-        fn key_schema(&self) -> Option<&KeySchema> {
-            Some(&self.schema)
-        }
-        fn execute_typed(&self, batch: &TypedBatch) -> Result<QueryOutcome, IndexError> {
-            let compiled = self.compile(batch)?;
-            self.execute(&compiled)
-        }
-        fn point_chunk(
-            &self,
-            queries: &[u64],
-            fetch_values: bool,
-        ) -> Result<crate::types::BatchOutcome, IndexError> {
-            self.inner.point_chunk(queries, fetch_values)
-        }
-        fn range_chunk(
-            &self,
-            ranges: &[(u64, u64)],
-            fetch_values: bool,
-        ) -> Result<crate::types::BatchOutcome, IndexError> {
-            self.inner.range_chunk(ranges, fetch_values)
-        }
-        fn execute_in(
-            &self,
-            batch: &QueryBatch,
-            arena: &mut ExecArena,
-        ) -> Result<QueryOutcome, IndexError> {
-            self.inner.execute_in(batch, arena)
-        }
-        fn execute_ops_in(
-            &self,
-            ops: &QueryOps,
-            arena: &mut ExecArena,
-        ) -> Result<QueryOutcome, IndexError> {
-            self.inner.execute_ops_in(ops, arena)
-        }
-    };
+/// The two inner kinds a composite wraps, seen as the read-side trait
+/// object its [`inner`](SecondaryIndex::inner) link returns.
+trait Layer: SecondaryIndex {
+    fn as_index(&self) -> &dyn SecondaryIndex;
 }
 
-impl SecondaryIndex for CompositeIndex<dyn SecondaryIndex> {
-    delegate_secondary_index!();
+impl Layer for dyn SecondaryIndex {
+    fn as_index(&self) -> &dyn SecondaryIndex {
+        self
+    }
 }
 
-impl SecondaryIndex for CompositeIndex<dyn UpdatableIndex> {
-    delegate_secondary_index!();
+impl Layer for dyn UpdatableIndex {
+    fn as_index(&self) -> &dyn SecondaryIndex {
+        self
+    }
+}
+
+/// Everything but the typed surface forwards through the link: the
+/// wrapper changes the name, the schema, typed compilation and the
+/// memory footprint (the dictionary).
+impl<I: ?Sized + Layer> SecondaryIndex for CompositeIndex<I> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn key_count(&self) -> usize {
+        self.inner.key_count()
+    }
+    fn build_metrics(&self) -> IndexBuildMetrics {
+        self.inner.build_metrics()
+    }
+    fn capabilities(&self) -> Capabilities {
+        self.inner.capabilities()
+    }
+    fn has_value_column(&self) -> bool {
+        self.inner.has_value_column()
+    }
+    fn memory_usage(&self) -> MemoryUsage {
+        let mut usage = self.inner.memory_usage();
+        usage.base_bytes += self.dict_bytes();
+        usage
+    }
+    fn inner(&self) -> Option<&dyn SecondaryIndex> {
+        Some(self.inner.as_index())
+    }
+    fn key_schema(&self) -> Option<&KeySchema> {
+        Some(&self.schema)
+    }
+    fn execute_typed(&self, batch: &TypedBatch) -> Result<QueryOutcome, IndexError> {
+        let compiled = self.compile(batch)?;
+        self.execute(&compiled)
+    }
 }
 
 impl UpdatableIndex for CompositeIndex<dyn UpdatableIndex> {
@@ -367,6 +337,14 @@ impl UpdatableIndex for CompositeIndex<dyn UpdatableIndex> {
     fn upsert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError> {
         self.reject_raw_writes()?;
         self.inner.upsert(keys, values)
+    }
+
+    fn inner_updatable(&self) -> Option<&dyn UpdatableIndex> {
+        Some(&*self.inner)
+    }
+
+    fn inner_mut(&mut self) -> Option<&mut dyn UpdatableIndex> {
+        Some(&mut *self.inner)
     }
 
     fn insert_rows(
@@ -390,30 +368,6 @@ impl UpdatableIndex for CompositeIndex<dyn UpdatableIndex> {
     ) -> Result<UpdateReport, IndexError> {
         let keys = self.map_rows_for_write(rows, true)?;
         self.inner.upsert(&keys, values)
-    }
-
-    fn poll_reorganisation(&mut self) -> Result<u64, IndexError> {
-        self.inner.poll_reorganisation()
-    }
-
-    fn await_reorganisation(&mut self) -> Result<u64, IndexError> {
-        self.inner.await_reorganisation()
-    }
-
-    fn reorganisation_in_flight(&self) -> bool {
-        self.inner.reorganisation_in_flight()
-    }
-
-    fn compact(&mut self) -> Result<UpdateReport, IndexError> {
-        self.inner.compact()
-    }
-
-    fn checkpoint_rows(&self) -> Option<Vec<(u64, u64)>> {
-        self.inner.checkpoint_rows()
-    }
-
-    fn checkpoint(&mut self) -> Result<u64, IndexError> {
-        self.inner.checkpoint()
     }
 }
 

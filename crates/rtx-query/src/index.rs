@@ -9,7 +9,7 @@
 use optix_sim::LaunchMetrics;
 
 use crate::arena::ExecArena;
-use crate::batch::{QueryBatch, QueryOp, QueryOps};
+use crate::batch::{QueryBatch, QueryOps};
 use crate::error::IndexError;
 use crate::keys::{KeySchema, KeyTuple, TypedBatch};
 use crate::shard::{RebalanceReport, ShardLoad};
@@ -20,12 +20,25 @@ use crate::types::{
 
 /// A read-only secondary index over a `(key, optional value)` column pair.
 ///
-/// Implementors provide the two homogeneous execution hooks
-/// ([`point_chunk`](SecondaryIndex::point_chunk) /
-/// [`range_chunk`](SecondaryIndex::range_chunk)); the mixed-batch entry
-/// point [`execute`](SecondaryIndex::execute) is provided on top of them,
-/// so splitting, chunking and result scattering behave identically across
-/// backends.
+/// Leaf backends implement the metadata methods, [`memory_usage`] and the
+/// two homogeneous execution hooks ([`point_chunk`] / [`range_chunk`]);
+/// the mixed-batch entry points are provided on top of them, so splitting,
+/// chunking and result scattering behave identically across backends.
+///
+/// # Composition
+///
+/// A layer stacked on another backend (composite keys, durability)
+/// returns that backend from [`inner`]. Every provided hook then forwards
+/// through the link — shard load, durability stats, key schema, the chunk
+/// hooks and the execute path — so a wrapper overrides only what it
+/// changes. A leaf keeps the `None` default and with it the leaf
+/// behaviour: empty hooks, the grouping executor, and chunk hooks that
+/// fail with [`IndexError::UnsupportedOperation`] unless implemented.
+///
+/// [`memory_usage`]: SecondaryIndex::memory_usage
+/// [`point_chunk`]: SecondaryIndex::point_chunk
+/// [`range_chunk`]: SecondaryIndex::range_chunk
+/// [`inner`]: SecondaryIndex::inner
 pub trait SecondaryIndex: Send + Sync {
     /// Short display name ("RX", "HT", "B+", "SA", "RXD", or a sharded
     /// spec such as "RX@8") used in report tables and error messages.
@@ -33,9 +46,6 @@ pub trait SecondaryIndex: Send + Sync {
 
     /// Number of indexed keys.
     fn key_count(&self) -> usize;
-
-    /// Device memory the index occupies after construction.
-    fn memory_bytes(&self) -> u64;
 
     /// Metrics captured while building.
     fn build_metrics(&self) -> IndexBuildMetrics;
@@ -48,34 +58,41 @@ pub trait SecondaryIndex: Send + Sync {
     fn has_value_column(&self) -> bool;
 
     /// Structural memory breakdown (base / delta / tombstones / WAL
-    /// buffer). The default attributes [`memory_bytes`] wholesale to the
-    /// base, which is correct for monolithic read-only backends; layered
-    /// backends override this with a real split.
+    /// buffer). A wrapper reports its inner backend's usage plus its own
+    /// state (row mirrors, dictionaries, unsynced WAL bytes).
+    fn memory_usage(&self) -> MemoryUsage;
+
+    /// Total memory the index occupies: [`memory_usage`] summed over its
+    /// components. Derived, never overridden.
     ///
-    /// [`memory_bytes`]: SecondaryIndex::memory_bytes
-    fn memory_usage(&self) -> MemoryUsage {
-        MemoryUsage::base_only(self.memory_bytes())
+    /// [`memory_usage`]: SecondaryIndex::memory_usage
+    fn memory_bytes(&self) -> u64 {
+        self.memory_usage().total()
     }
 
-    /// Durability counters, or `None` for a memory-only index. Overridden
-    /// by WAL-backed wrappers.
-    fn durability_stats(&self) -> Option<DurableStats> {
+    /// The backend this layer wraps, or `None` for a leaf backend (and for
+    /// layers over several backends, such as the sharded index). The
+    /// provided hooks forward through this link.
+    fn inner(&self) -> Option<&dyn SecondaryIndex> {
         None
+    }
+
+    /// Durability counters, or `None` for a memory-only index.
+    fn durability_stats(&self) -> Option<DurableStats> {
+        self.inner().and_then(|inner| inner.durability_stats())
     }
 
     /// Per-shard load snapshot (op and row counters), or `None` for an
-    /// unsharded backend. Overridden by the sharded wrapper; the service
-    /// layer polls this to surface a load-imbalance ratio and drive
-    /// hot-shard rebalancing.
+    /// unsharded backend. The service layer polls this to surface a
+    /// load-imbalance ratio and drive hot-shard rebalancing.
     fn shard_load(&self) -> Option<ShardLoad> {
-        None
+        self.inner().and_then(|inner| inner.shard_load())
     }
 
     /// The typed key schema of this index, or `None` for a raw-`u64` index
-    /// (whose implicit schema is `{u64}`). Overridden by the composite
-    /// wrapper; plain backends never carry one.
+    /// (whose implicit schema is `{u64}`).
     fn key_schema(&self) -> Option<&KeySchema> {
-        None
+        self.inner().and_then(|inner| inner.key_schema())
     }
 
     /// Executes a typed batch: point, range and prefix-range operations
@@ -98,21 +115,31 @@ pub trait SecondaryIndex: Send + Sync {
 
     /// Executes one homogeneous chunk of point lookups.
     ///
-    /// Execution hook called by [`execute`](SecondaryIndex::execute);
-    /// `fetch_values` is only ever true when
+    /// Execution hook called by the grouping executor; `fetch_values` is
+    /// only ever true when
     /// [`has_value_column`](SecondaryIndex::has_value_column) is. Callers
     /// should prefer [`execute`](SecondaryIndex::execute).
-    fn point_chunk(&self, queries: &[u64], fetch_values: bool) -> Result<BatchOutcome, IndexError>;
+    fn point_chunk(&self, queries: &[u64], fetch_values: bool) -> Result<BatchOutcome, IndexError> {
+        match self.inner() {
+            Some(inner) => inner.point_chunk(queries, fetch_values),
+            None => Err(unsupported(self.name(), "point chunks")),
+        }
+    }
 
     /// Executes one homogeneous chunk of inclusive range lookups.
     ///
-    /// Execution hook called by [`execute`](SecondaryIndex::execute); only
-    /// invoked when [`Capabilities::range_lookups`] is set.
+    /// Execution hook called by the grouping executor; only invoked when
+    /// [`Capabilities::range_lookups`] is set.
     fn range_chunk(
         &self,
         ranges: &[(u64, u64)],
         fetch_values: bool,
-    ) -> Result<BatchOutcome, IndexError>;
+    ) -> Result<BatchOutcome, IndexError> {
+        match self.inner() {
+            Some(inner) => inner.range_chunk(ranges, fetch_values),
+            None => Err(unsupported(self.name(), "range chunks")),
+        }
+    }
 
     /// Executes a mixed batch: point and range lookups in one submission,
     /// with an optional value fetch.
@@ -125,122 +152,102 @@ pub trait SecondaryIndex: Send + Sync {
         self.execute_in(batch, &mut ExecArena::new())
     }
 
-    /// Executes a mixed batch using caller-provided scratch.
-    ///
-    /// The default implementation regroups the operations into homogeneous
-    /// runs inside `arena` (cleared and refilled — reuse is always safe),
-    /// splits each run into chunks of at most [`QueryBatch::chunk_size`]
-    /// operations, executes the chunks through the backend hooks —
-    /// **concurrently** over the [`gpu_device`] worker pool when a run
-    /// splits into ≥ 2 chunks — then merges their metrics and scatters the
-    /// per-chunk results back into submission order. Scatter is by
-    /// submission slot, so concurrent chunk execution cannot reorder
-    /// results; chunk metrics are merged in chunk order so the outcome is
-    /// bit-identical to sequential execution.
+    /// Executes a mixed batch using caller-provided scratch: the batch is
+    /// laid out as a [`QueryOps`] stream kept in `arena` (cleared and
+    /// refilled — reuse is always safe) and handed to
+    /// [`execute_ops_in`](SecondaryIndex::execute_ops_in).
     fn execute_in(
         &self,
         batch: &QueryBatch,
         arena: &mut ExecArena,
     ) -> Result<QueryOutcome, IndexError> {
-        arena.clear();
-        let mut has_range_op = false;
-        for (slot, op) in batch.ops().iter().enumerate() {
-            match *op {
-                QueryOp::Point(key) => {
-                    arena.point_slots.push(slot);
-                    arena.point_keys.push(key);
-                }
-                QueryOp::Range(lower, upper) => {
-                    has_range_op = true;
-                    // An inverted range (`lower > upper`) is empty by
-                    // definition; its slot stays the pre-filled miss on
-                    // every backend instead of reaching backend-dependent
-                    // handling.
-                    if lower <= upper {
-                        arena.range_slots.push(slot);
-                        arena.range_bounds.push((lower, upper));
-                    }
-                }
-            }
-        }
-        execute_grouped(
-            self,
-            arena,
-            batch.len(),
-            has_range_op,
-            batch.fetches_values(),
-            batch.chunk_size(),
-        )
+        // Taken out for the call so the arena's grouping buffers stay
+        // borrowable; put back afterwards to keep its capacity.
+        let mut ops = std::mem::take(&mut arena.ops);
+        ops.refill(batch);
+        let result = self.execute_ops_in(&ops, arena);
+        arena.ops = ops;
+        result
     }
 
-    /// Executes a pre-grouped SoA op stream ([`QueryOps`]) using
-    /// caller-provided scratch. Same semantics as
-    /// [`execute_in`](SecondaryIndex::execute_in); the dense point-key run
-    /// is copied into the arena wholesale and only the order-tag bitmap is
-    /// walked to derive the slot maps, so no per-op enum dispatch happens
-    /// on the execution path.
+    /// Executes a structure-of-arrays op stream ([`QueryOps`]) using
+    /// caller-provided scratch — the one execution body every other entry
+    /// point reaches.
+    ///
+    /// A layer forwards to its [`inner`](SecondaryIndex::inner) backend.
+    /// A leaf groups the stream inside `arena` (the dense point-key run is
+    /// copied wholesale and only the order-tag bitmap is walked to derive
+    /// the slot maps), splits each homogeneous run into chunks of at most
+    /// [`QueryOps::chunk_size`] operations, executes the chunks through
+    /// the chunk hooks — **concurrently** over the [`gpu_device`] worker
+    /// pool when a run splits into ≥ 2 chunks — then merges their metrics
+    /// and scatters the per-chunk results back into submission order.
+    /// Scatter is by submission slot and metrics merge in chunk order, so
+    /// the outcome is bit-identical to sequential execution. An inverted
+    /// range (`lower > upper`) is empty by definition: its slot stays the
+    /// pre-filled miss on every backend.
     fn execute_ops_in(
         &self,
         ops: &QueryOps,
         arena: &mut ExecArena,
     ) -> Result<QueryOutcome, IndexError> {
-        arena.clear();
-        arena.point_keys.extend_from_slice(ops.points());
-        let bounds = ops.ranges();
-        let mut next_range = 0usize;
-        for slot in 0..ops.len() {
-            if ops.is_range(slot) {
-                let (lower, upper) = bounds[next_range];
-                next_range += 1;
-                // Inverted ranges stay pre-filled misses (see `execute_in`).
-                if lower <= upper {
-                    arena.range_slots.push(slot);
-                    arena.range_bounds.push((lower, upper));
-                }
-            } else {
-                arena.point_slots.push(slot);
-            }
+        match self.inner() {
+            Some(inner) => inner.execute_ops_in(ops, arena),
+            None => execute_grouped(self, ops, arena),
         }
-        execute_grouped(
-            self,
-            arena,
-            ops.len(),
-            ops.range_count() > 0,
-            ops.fetches_values(),
-            ops.chunk_size(),
-        )
     }
 }
 
-/// The shared mixed-batch execution core: validates the request against the
-/// backend's capabilities, then runs the point and range runs grouped in
-/// `arena` and scatters their results into one submission-order outcome.
+fn unsupported(backend: &str, operation: &'static str) -> IndexError {
+    IndexError::UnsupportedOperation {
+        backend: backend.to_string().into(),
+        operation,
+    }
+}
+
+/// The leaf execution body behind
+/// [`execute_ops_in`](SecondaryIndex::execute_ops_in): validates the
+/// request against the backend's capabilities, groups the stream into
+/// `arena`, runs the point and range runs and scatters their results into
+/// one submission-order outcome.
 fn execute_grouped<I: SecondaryIndex + ?Sized>(
     index: &I,
-    arena: &ExecArena,
-    total_ops: usize,
-    has_range_op: bool,
-    fetch: bool,
-    chunk_size: Option<usize>,
+    ops: &QueryOps,
+    arena: &mut ExecArena,
 ) -> Result<QueryOutcome, IndexError> {
+    let fetch = ops.fetches_values();
     if fetch && !index.has_value_column() {
         return Err(IndexError::NoValueColumn {
             backend: index.name().into(),
         });
     }
-    if has_range_op && !index.capabilities().range_lookups {
-        return Err(IndexError::UnsupportedOperation {
-            backend: index.name().into(),
-            operation: "range lookups",
-        });
+    if ops.range_count() > 0 && !index.capabilities().range_lookups {
+        return Err(unsupported(index.name(), "range lookups"));
     }
 
-    let chunk = chunk_size.unwrap_or(usize::MAX);
+    arena.clear();
+    arena.point_keys.extend_from_slice(ops.points());
+    let bounds = ops.ranges();
+    let mut next_range = 0usize;
+    for slot in 0..ops.len() {
+        if ops.is_range(slot) {
+            let (lower, upper) = bounds[next_range];
+            next_range += 1;
+            if lower <= upper {
+                arena.range_slots.push(slot);
+                arena.range_bounds.push((lower, upper));
+            }
+        } else {
+            arena.point_slots.push(slot);
+        }
+    }
+
+    let chunk = ops.chunk_size().unwrap_or(usize::MAX);
     let mut outcome = QueryOutcome {
         // Pre-fill with misses so a (buggy) backend that under-reports
         // can never leave a slot looking like a hit of rowID 0 — and
         // under-reporting is caught below regardless.
-        results: vec![crate::types::LookupResult::miss(); total_ops],
+        results: vec![crate::types::LookupResult::miss(); ops.len()],
         metrics: LaunchMetrics::default(),
     };
     scatter_chunks(
@@ -328,6 +335,18 @@ where
 /// deletes remove every live row holding a key, upserts do both. Each batch
 /// may trigger a structural reorganisation (compaction), reported in the
 /// returned [`UpdateReport`].
+///
+/// The write-side hooks compose like the read side: a layer returns its
+/// updatable inner backend from [`inner_updatable`] (read-only hooks) and
+/// [`inner_mut`] (mutating hooks), and every provided hook forwards
+/// through the link. A layer that must see every state change — a WAL —
+/// keeps `inner_mut` at `None` and overrides the mutating hooks it logs.
+/// The typed writes never forward: they encode and then call this layer's
+/// own [`insert`](UpdatableIndex::insert) / [`delete`](UpdatableIndex::delete)
+/// / [`upsert`](UpdatableIndex::upsert), so no layer's logging is skipped.
+///
+/// [`inner_updatable`]: UpdatableIndex::inner_updatable
+/// [`inner_mut`]: UpdatableIndex::inner_mut
 pub trait UpdatableIndex: SecondaryIndex {
     /// Inserts a batch of `(key, value)` rows.
     fn insert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError>;
@@ -339,6 +358,23 @@ pub trait UpdatableIndex: SecondaryIndex {
     /// Upserts a batch: every key's existing entries are deleted, then one
     /// fresh `(key, value)` row is inserted per pair.
     fn upsert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError>;
+
+    /// The updatable backend this layer wraps, for the read-only write-side
+    /// hooks ([`reorganisation_in_flight`], [`checkpoint_rows`]). `None`
+    /// for leaves.
+    ///
+    /// [`reorganisation_in_flight`]: UpdatableIndex::reorganisation_in_flight
+    /// [`checkpoint_rows`]: UpdatableIndex::checkpoint_rows
+    fn inner_updatable(&self) -> Option<&dyn UpdatableIndex> {
+        None
+    }
+
+    /// The updatable backend this layer wraps, for the mutating hooks
+    /// (reorganisation, compaction, checkpoint, rebalance). `None` for
+    /// leaves and for layers that log every mutation themselves.
+    fn inner_mut(&mut self) -> Option<&mut dyn UpdatableIndex> {
+        None
+    }
 
     /// Inserts a batch of typed `(tuple, value)` rows, encoding each tuple
     /// against the index's schema first. The default covers direct-codec
@@ -373,38 +409,41 @@ pub trait UpdatableIndex: SecondaryIndex {
 
     /// Lands any *completed* deferred reorganisation (e.g. a background
     /// compaction whose swap is ready) without blocking, returning how many
-    /// landed. The default — for backends without deferred reorganisation —
-    /// lands nothing.
+    /// landed. A leaf without deferred reorganisation lands nothing.
     ///
     /// Durable wrappers call this *before* logging each update batch so the
     /// swap point becomes an explicit WAL record and replay can reproduce
     /// the exact structural state.
     fn poll_reorganisation(&mut self) -> Result<u64, IndexError> {
-        Ok(0)
+        self.inner_mut()
+            .map_or(Ok(0), |inner| inner.poll_reorganisation())
     }
 
     /// Waits for any in-flight deferred reorganisation to complete and
-    /// lands it, returning how many landed. Default: nothing to wait for.
+    /// lands it, returning how many landed. Leaf default: nothing to wait
+    /// for.
     fn await_reorganisation(&mut self) -> Result<u64, IndexError> {
-        Ok(0)
+        self.inner_mut()
+            .map_or(Ok(0), |inner| inner.await_reorganisation())
     }
 
     /// True while a deferred reorganisation (background compaction rebuild)
     /// is in flight but has not landed. Durable wrappers compare this
     /// before and after a batch to detect the *freeze* point and annotate
-    /// their log. Default: never.
+    /// their log. Leaf default: never.
     fn reorganisation_in_flight(&self) -> bool {
-        false
+        self.inner_updatable()
+            .is_some_and(|inner| inner.reorganisation_in_flight())
     }
 
     /// Forces a full synchronous reorganisation (merge delta + drop
-    /// tombstones), making the structural state canonical. Backends without
+    /// tombstones), making the structural state canonical. Leaves without
     /// an explicit compaction report `UnsupportedOperation`.
     fn compact(&mut self) -> Result<UpdateReport, IndexError> {
-        Err(IndexError::UnsupportedOperation {
-            backend: self.name().to_string().into(),
-            operation: "explicit compaction",
-        })
+        if let Some(inner) = self.inner_mut() {
+            return inner.compact();
+        }
+        Err(unsupported(self.name(), "explicit compaction"))
     }
 
     /// The live `(key, value)` rows in rowID order — but only when the
@@ -412,9 +451,10 @@ pub trait UpdatableIndex: SecondaryIndex {
     /// dense `0..n`, so that a fresh build over exactly these columns
     /// reproduces the index (the snapshot contract). Returns `None` in any
     /// dirty state; callers compact first. Valueless indexes report 0
-    /// values. The default (`None`) marks a backend as non-snapshottable.
+    /// values. A leaf returning `None` is non-snapshottable.
     fn checkpoint_rows(&self) -> Option<Vec<(u64, u64)>> {
-        None
+        self.inner_updatable()
+            .and_then(|inner| inner.checkpoint_rows())
     }
 
     /// Asks a durable wrapper to snapshot now (compacting first if
@@ -422,18 +462,22 @@ pub trait UpdatableIndex: SecondaryIndex {
     /// written. A memory-only index has nothing to do. `rtx-serve` routes
     /// `ClientHandle::checkpoint` here through the write fence.
     fn checkpoint(&mut self) -> Result<u64, IndexError> {
-        Ok(0)
+        self.inner_mut().map_or(Ok(0), |inner| inner.checkpoint())
     }
 
     /// Rebalances row placement across shards when the backend detects a
     /// sustained load imbalance (see
     /// [`shard_load`](SecondaryIndex::shard_load)), migrating rows from hot
-    /// shards to cold ones while preserving every global rowID. The default
-    /// — for unsharded backends — has nothing to move and reports an empty
-    /// pass. `rtx-serve` calls this through the write fence, so reads never
+    /// shards to cold ones while preserving every global rowID. An
+    /// unsharded leaf has nothing to move and reports an empty pass; a
+    /// layer that cannot migrate safely reports `UnsupportedOperation`.
+    /// `rtx-serve` calls this through the write fence, so reads never
     /// observe a half-migrated layout.
     fn rebalance_shards(&mut self) -> Result<RebalanceReport, IndexError> {
-        Ok(RebalanceReport::default())
+        self.inner_mut()
+            .map_or(Ok(RebalanceReport::default()), |inner| {
+                inner.rebalance_shards()
+            })
     }
 }
 
@@ -485,8 +529,8 @@ mod tests {
         fn key_count(&self) -> usize {
             self.keys.len()
         }
-        fn memory_bytes(&self) -> u64 {
-            (self.keys.len() * 8) as u64
+        fn memory_usage(&self) -> MemoryUsage {
+            MemoryUsage::base_only((self.keys.len() * 8) as u64)
         }
         fn build_metrics(&self) -> IndexBuildMetrics {
             IndexBuildMetrics::default()

@@ -775,7 +775,7 @@ impl std::fmt::Debug for Registry {
 mod tests {
     use super::*;
     use crate::batch::QueryBatch;
-    use crate::types::{BatchOutcome, Capabilities, IndexBuildMetrics, LookupResult};
+    use crate::types::{BatchOutcome, Capabilities, IndexBuildMetrics, LookupResult, MemoryUsage};
 
     /// A stub backend whose lookups always miss.
     struct NullIndex {
@@ -789,8 +789,8 @@ mod tests {
         fn key_count(&self) -> usize {
             self.keys
         }
-        fn memory_bytes(&self) -> u64 {
-            0
+        fn memory_usage(&self) -> MemoryUsage {
+            MemoryUsage::default()
         }
         fn build_metrics(&self) -> IndexBuildMetrics {
             IndexBuildMetrics::default()

@@ -4,8 +4,8 @@
 //! The sharded execution engine itself lives above this crate (`rtx-shard`,
 //! which also implements the concrete partitioners), but the *vocabulary* —
 //! how a sharded backend is named, how keys are routed and how a mixed
-//! [`QueryBatch`] is split into per-shard sub-batches and gathered back —
-//! belongs to the query API so that the [`Registry`](crate::Registry) can
+//! op stream ([`QueryOps`]) is split into per-shard sub-batches and
+//! gathered back — belongs to the query API so that the [`Registry`](crate::Registry) can
 //! resolve names like `"RX@8"` and so that planning stays a pure,
 //! independently testable step.
 //!
@@ -19,7 +19,7 @@
 //! * **inverted ranges** (`lower > upper`) are routed nowhere and gather as
 //!   the uniform empty result.
 
-use crate::batch::{QueryBatch, QueryOp, QueryOps};
+use crate::batch::{QueryOp, QueryOps};
 use crate::types::{BatchOutcome, LookupResult, QueryOutcome};
 
 /// How a sharded backend distributes the key space over its shards.
@@ -212,11 +212,10 @@ pub trait KeyRouter: Send + Sync {
 /// sub-operation answers, so the gather can merge per-shard outcomes back
 /// into one [`QueryOutcome`].
 ///
-/// Plans are reusable: [`replan`](ScatterPlan::replan) /
-/// [`replan_ops`](ScatterPlan::replan_ops) clear and refill an existing
-/// plan in place, keeping every per-shard buffer's capacity — a sharded
-/// executor pools its plans and replans submissions allocation-free at
-/// steady state.
+/// Plans are reusable: [`replan_ops`](ScatterPlan::replan_ops) clears and
+/// refills an existing plan in place, keeping every per-shard buffer's
+/// capacity — a sharded executor pools its plans and replans submissions
+/// allocation-free at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct ScatterPlan {
     /// Number of operations in the planned batch.
@@ -229,46 +228,19 @@ pub struct ScatterPlan {
 }
 
 impl ScatterPlan {
-    /// Plans `batch` over the shards of `router`. Points go to their owning
+    /// Plans `ops` over the shards of `router`. Points go to their owning
     /// shard, ranges go wherever the router sends them, inverted ranges go
     /// nowhere (their slots gather as the empty result).
-    pub fn plan(batch: &QueryBatch, router: &dyn KeyRouter) -> ScatterPlan {
+    pub fn plan(ops: &QueryOps, router: &dyn KeyRouter) -> ScatterPlan {
         let mut plan = ScatterPlan::default();
-        plan.replan(batch, router);
+        plan.replan_ops(ops, router);
         plan
     }
 
-    /// Re-plans `batch` into this plan in place (see [`plan`](ScatterPlan::plan)
-    /// for the routing rules), reusing every buffer.
-    pub fn replan(&mut self, batch: &QueryBatch, router: &dyn KeyRouter) {
-        self.replan_iter(
-            batch.ops().iter().copied(),
-            batch.len(),
-            batch.fetches_values(),
-            batch.chunk_size(),
-            router,
-        );
-    }
-
-    /// Re-plans an SoA op stream into this plan in place.
+    /// Re-plans an SoA op stream into this plan in place (see
+    /// [`plan`](ScatterPlan::plan) for the routing rules), reusing every
+    /// buffer.
     pub fn replan_ops(&mut self, ops: &QueryOps, router: &dyn KeyRouter) {
-        self.replan_iter(
-            ops.iter(),
-            ops.len(),
-            ops.fetches_values(),
-            ops.chunk_size(),
-            router,
-        );
-    }
-
-    fn replan_iter<I: Iterator<Item = QueryOp>>(
-        &mut self,
-        ops: I,
-        len: usize,
-        fetch_values: bool,
-        chunk_size: Option<usize>,
-        router: &dyn KeyRouter,
-    ) {
         let shards = router.shard_count();
         self.sub_ops.resize_with(shards, QueryOps::new);
         self.sub_ops.truncate(shards);
@@ -276,14 +248,14 @@ impl ScatterPlan {
         self.slots.truncate(shards);
         for sub in &mut self.sub_ops {
             sub.clear();
-            sub.set_fetch_values(fetch_values);
-            sub.set_chunk_size(chunk_size.unwrap_or(0));
+            sub.set_fetch_values(ops.fetches_values());
+            sub.set_chunk_size(ops.chunk_size().unwrap_or(0));
         }
         for shard_slots in &mut self.slots {
             shard_slots.clear();
         }
-        self.submitted_ops = len;
-        for (slot, op) in ops.enumerate() {
+        self.submitted_ops = ops.len();
+        for (slot, op) in ops.iter().enumerate() {
             match op {
                 QueryOp::Point(key) => {
                     let s = router.shard_of_point(key);
@@ -358,6 +330,7 @@ impl ScatterPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::QueryBatch;
     use crate::types::MISS;
 
     /// A router over `shards` equal contiguous spans of `0..domain`, with
@@ -452,7 +425,7 @@ mod tests {
             .range(50, 10) // inverted: routed nowhere
             .fetch_values(true)
             .with_chunk_size(7);
-        let plan = ScatterPlan::plan(&batch, &router);
+        let plan = ScatterPlan::plan(&QueryOps::from_batch(&batch), &router);
         assert_eq!(plan.sub_ops().len(), 4);
         assert_eq!(plan.active_shards(), 4);
         let sub = |s: usize| plan.sub_ops()[s].iter().collect::<Vec<_>>();
@@ -481,9 +454,9 @@ mod tests {
             .range(90, 210)
             .fetch_values(true);
         let small = QueryBatch::new().point(5).range(50, 10).with_chunk_size(3);
-        let mut plan = ScatterPlan::plan(&big, &router);
-        plan.replan(&small, &router);
-        let fresh = ScatterPlan::plan(&small, &router);
+        let mut plan = ScatterPlan::plan(&QueryOps::from_batch(&big), &router);
+        plan.replan_ops(&QueryOps::from_batch(&small), &router);
+        let fresh = ScatterPlan::plan(&QueryOps::from_batch(&small), &router);
         assert_eq!(plan.submitted_ops, fresh.submitted_ops);
         for s in 0..4 {
             assert_eq!(
@@ -494,22 +467,13 @@ mod tests {
             assert!(!plan.sub_ops()[s].fetches_values(), "flags re-derived");
             assert_eq!(plan.sub_ops()[s].chunk_size(), Some(3));
         }
-        // Replanning from the SoA form agrees with the enum form.
-        let mut from_ops = ScatterPlan::default();
-        from_ops.replan_ops(&QueryOps::from_batch(&small), &router);
-        for s in 0..4 {
-            assert_eq!(
-                from_ops.sub_ops()[s].iter().collect::<Vec<_>>(),
-                fresh.sub_ops()[s].iter().collect::<Vec<_>>()
-            );
-        }
     }
 
     #[test]
     fn plan_broadcasts_ranges_under_hash_routing() {
         let router = ModRouter { shards: 3 };
         let batch = QueryBatch::new().range(10, 20).point(4);
-        let plan = ScatterPlan::plan(&batch, &router);
+        let plan = ScatterPlan::plan(&QueryOps::from_batch(&batch), &router);
         for s in 0..3 {
             assert!(plan.sub_ops()[s]
                 .iter()
@@ -527,7 +491,7 @@ mod tests {
         };
         // Slot 0: range split over both shards; slot 1: inverted range.
         let batch = QueryBatch::new().range(50, 150).range(9, 1);
-        let plan = ScatterPlan::plan(&batch, &router);
+        let plan = ScatterPlan::plan(&QueryOps::from_batch(&batch), &router);
         let shard0 = BatchOutcome {
             results: vec![LookupResult {
                 first_row: 7,
@@ -556,7 +520,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "answered")]
     fn gather_rejects_miscounted_shard_outcomes() {
-        let plan = ScatterPlan::plan(&QueryBatch::new().point(1), &ModRouter { shards: 1 });
+        let plan = ScatterPlan::plan(
+            &QueryOps::from_batch(&QueryBatch::new().point(1)),
+            &ModRouter { shards: 1 },
+        );
         let _ = plan.gather(vec![BatchOutcome::default()]);
     }
 }

@@ -31,9 +31,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rtx_query::{
-    BatchOutcome, Capabilities, DurableStats, ExecArena, FusedBatch, IndexError, MemoryUsage,
-    QueryBatch, QueryOps, QueryOutcome, RebalanceReport, SecondaryIndex, ShardLoad, SharedOutcome,
-    UpdatableIndex, UpdateReport,
+    BatchOutcome, Capabilities, ExecArena, FusedBatch, IndexError, MemoryUsage, QueryBatch,
+    SecondaryIndex, SharedOutcome, UpdatableIndex, UpdateReport,
 };
 
 /// The reply side of one admitted read: a zero-copy view of the fused
@@ -111,83 +110,36 @@ enum ServiceBackend {
 }
 
 impl ServiceBackend {
-    fn name(&self) -> &str {
+    /// The read surface of either kind.
+    fn as_index(&self) -> &dyn SecondaryIndex {
         match self {
-            ServiceBackend::ReadOnly(ix) => ix.name(),
-            ServiceBackend::Updatable(ix) => ix.name(),
+            ServiceBackend::ReadOnly(ix) => ix.as_ref(),
+            ServiceBackend::Updatable(ix) => ix.as_ref(),
         }
     }
 
-    fn capabilities(&self) -> Capabilities {
+    /// The write surface, `None` on a read-only service.
+    fn as_updatable_mut(&mut self) -> Option<&mut dyn UpdatableIndex> {
         match self {
-            ServiceBackend::ReadOnly(ix) => ix.capabilities(),
-            ServiceBackend::Updatable(ix) => ix.capabilities(),
-        }
-    }
-
-    fn has_value_column(&self) -> bool {
-        match self {
-            ServiceBackend::ReadOnly(ix) => ix.has_value_column(),
-            ServiceBackend::Updatable(ix) => ix.has_value_column(),
-        }
-    }
-
-    fn execute_ops_in(
-        &self,
-        ops: &QueryOps,
-        arena: &mut ExecArena,
-    ) -> Result<QueryOutcome, IndexError> {
-        match self {
-            ServiceBackend::ReadOnly(ix) => ix.execute_ops_in(ops, arena),
-            ServiceBackend::Updatable(ix) => ix.execute_ops_in(ops, arena),
+            ServiceBackend::ReadOnly(_) => None,
+            ServiceBackend::Updatable(ix) => Some(ix.as_mut()),
         }
     }
 
     fn apply(&mut self, op: WriteOp) -> Result<WriteOutcome, IndexError> {
-        match self {
-            // Admission rejects writes on read-only services; this is the
-            // defensive backstop, not a reachable path.
-            ServiceBackend::ReadOnly(ix) => Err(IndexError::UnsupportedOperation {
-                backend: ix.name().into(),
+        // Admission rejects writes on read-only services; this is the
+        // defensive backstop, not a reachable path.
+        let Some(ix) = self.as_updatable_mut() else {
+            return Err(IndexError::UnsupportedOperation {
+                backend: self.as_index().name().into(),
                 operation: "updates",
-            }),
-            ServiceBackend::Updatable(ix) => match op {
-                WriteOp::Insert { keys, values } => {
-                    ix.insert(&keys, &values).map(WriteOutcome::Report)
-                }
-                WriteOp::Delete { keys } => ix.delete(&keys).map(WriteOutcome::Report),
-                WriteOp::Upsert { keys, values } => {
-                    ix.upsert(&keys, &values).map(WriteOutcome::Report)
-                }
-                WriteOp::Checkpoint => ix.checkpoint().map(WriteOutcome::Checkpoint),
-            },
-        }
-    }
-
-    /// The backend-side gauges mirrored into the service counters after
-    /// every fence operation: component-wise memory usage and (for durable
-    /// backends) the persistence stats.
-    fn gauges(&self) -> (MemoryUsage, Option<DurableStats>) {
-        match self {
-            ServiceBackend::ReadOnly(ix) => (ix.memory_usage(), ix.durability_stats()),
-            ServiceBackend::Updatable(ix) => (ix.memory_usage(), ix.durability_stats()),
-        }
-    }
-
-    /// Per-shard load counters of a sharded backend (`None` otherwise).
-    fn shard_load(&self) -> Option<ShardLoad> {
-        match self {
-            ServiceBackend::ReadOnly(ix) => ix.shard_load(),
-            ServiceBackend::Updatable(ix) => ix.shard_load(),
-        }
-    }
-
-    /// Hot-shard rebalance on an updatable sharded backend; `None` on
-    /// read-only services or backends without shards to move.
-    fn rebalance_shards(&mut self) -> Option<RebalanceReport> {
-        match self {
-            ServiceBackend::ReadOnly(_) => None,
-            ServiceBackend::Updatable(ix) => ix.rebalance_shards().ok(),
+            });
+        };
+        match op {
+            WriteOp::Insert { keys, values } => ix.insert(&keys, &values).map(WriteOutcome::Report),
+            WriteOp::Delete { keys } => ix.delete(&keys).map(WriteOutcome::Report),
+            WriteOp::Upsert { keys, values } => ix.upsert(&keys, &values).map(WriteOutcome::Report),
+            WriteOp::Checkpoint => ix.checkpoint().map(WriteOutcome::Checkpoint),
         }
     }
 }
@@ -223,6 +175,7 @@ pub(crate) struct Counters {
     linger_decisions: AtomicU64,
     rebalances: AtomicU64,
     rebalanced_rows: AtomicU64,
+    rebalance_failures: AtomicU64,
     /// Gauge: the sharded backend's load-imbalance ratio in permille, as
     /// of the last load check (0 for unsharded backends).
     shard_imbalance_permille: AtomicU64,
@@ -302,6 +255,11 @@ pub struct ServiceStats {
     pub rebalances: u64,
     /// Rows migrated between shards across those passes.
     pub rebalanced_rows: u64,
+    /// Rebalance passes the backend failed. An `UnsupportedOperation`
+    /// failure (e.g. a durable sharded backend) also stops further
+    /// attempts for the service's lifetime; the imbalance gauge keeps
+    /// updating.
+    pub rebalance_failures: u64,
     /// Load-imbalance ratio of the sharded backend in permille (hottest
     /// shard over mean; 1000 = perfectly balanced) as of the last check —
     /// 0 for unsharded backends or before any traffic.
@@ -403,6 +361,7 @@ impl Counters {
             linger_decisions: c.linger_decisions.load(Ordering::Relaxed),
             rebalances: c.rebalances.load(Ordering::Relaxed),
             rebalanced_rows: c.rebalanced_rows.load(Ordering::Relaxed),
+            rebalance_failures: c.rebalance_failures.load(Ordering::Relaxed),
             shard_imbalance_permille: c.shard_imbalance_permille.load(Ordering::Relaxed),
             planned_predicates: c.planned_predicates.load(Ordering::Relaxed),
             routed_predicates: c.routed_predicates.load(Ordering::Relaxed),
@@ -430,7 +389,9 @@ impl Shared {
 
     /// Copies the backend gauges into the shared counters.
     fn refresh_gauges(&self, backend: &ServiceBackend) {
-        let (memory, durable) = backend.gauges();
+        let backend = backend.as_index();
+        let memory = backend.memory_usage();
+        let durable = backend.durability_stats();
         let c = &self.counters;
         c.mem_base_bytes.store(memory.base_bytes, Ordering::Relaxed);
         c.mem_delta_bytes
@@ -799,16 +760,18 @@ pub struct QueryService {
 impl QueryService {
     /// Starts a service over a read-only backend.
     pub fn start(backend: Box<dyn SecondaryIndex>, config: ServiceConfig) -> Self {
-        QueryService::spawn(ServiceBackend::ReadOnly(backend), config, false)
+        QueryService::spawn(ServiceBackend::ReadOnly(backend), config)
     }
 
     /// Starts a service over an updatable backend: client writes are
     /// serialized and fenced against reads in queue order.
     pub fn start_updatable(backend: Box<dyn UpdatableIndex>, config: ServiceConfig) -> Self {
-        QueryService::spawn(ServiceBackend::Updatable(backend), config, true)
+        QueryService::spawn(ServiceBackend::Updatable(backend), config)
     }
 
-    fn spawn(backend: ServiceBackend, config: ServiceConfig, updatable: bool) -> Self {
+    fn spawn(backend: ServiceBackend, config: ServiceConfig) -> Self {
+        let updatable = matches!(backend, ServiceBackend::Updatable(_));
+        let index = backend.as_index();
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
                 requests: VecDeque::new(),
@@ -817,9 +780,9 @@ impl QueryService {
             }),
             work: Condvar::new(),
             config,
-            backend_name: backend.name().into(),
-            capabilities: backend.capabilities(),
-            has_value_column: backend.has_value_column(),
+            backend_name: index.name().into(),
+            capabilities: index.capabilities(),
+            has_value_column: index.has_value_column(),
             updatable,
             counters: Counters::default(),
         });
@@ -925,6 +888,7 @@ fn run_coalescer(shared: &Shared, mut backend: ServiceBackend) {
         started: Instant::now(),
         seen_ops: 0,
     });
+    let mut rebalance_refused = false;
     loop {
         match drain(shared, &mut fusion, &mut replies, &mut adaptive) {
             Drained::Shutdown => return,
@@ -951,14 +915,14 @@ fn run_coalescer(shared: &Shared, mut backend: ServiceBackend) {
                 shared.refresh_gauges(&backend);
                 // A client that dropped its ticket abandoned the result.
                 let _ = reply.send(result);
-                maybe_rebalance(shared, &mut backend);
+                maybe_rebalance(shared, &mut backend, &mut rebalance_refused);
             }
             Drained::Reads => {
                 // The fused operations are already in executor-ready SoA
                 // form; execution reuses the coalescer's arena and the
                 // scatter hands each client an Arc'd view of the one fused
                 // outcome — no per-client result copy on this thread.
-                let outcome = backend.execute_ops_in(fusion.ops(), &mut arena);
+                let outcome = backend.as_index().execute_ops_in(fusion.ops(), &mut arena);
                 let c = &shared.counters;
                 c.fused_submissions.fetch_add(1, Ordering::Relaxed);
                 c.coalesced_batches
@@ -979,7 +943,7 @@ fn run_coalescer(shared: &Shared, mut backend: ServiceBackend) {
                         }
                     }
                 }
-                maybe_rebalance(shared, &mut backend);
+                maybe_rebalance(shared, &mut backend, &mut rebalance_refused);
             }
         }
     }
@@ -991,25 +955,36 @@ fn run_coalescer(shared: &Shared, mut backend: ServiceBackend) {
 /// gauge refreshes on every check; the migration itself only fires once
 /// enough traffic accumulated *and* the imbalance crossed the trigger
 /// (the pass resets the shard counters, which spaces the passes out).
-fn maybe_rebalance(shared: &Shared, backend: &mut ServiceBackend) {
+/// A failed pass is counted; once the backend refuses rebalancing
+/// outright (`refused`), no further pass is attempted.
+fn maybe_rebalance(shared: &Shared, backend: &mut ServiceBackend, refused: &mut bool) {
     let Some(config) = shared.config.rebalance else {
         return;
     };
-    let Some(load) = backend.shard_load() else {
+    let Some(load) = backend.as_index().shard_load() else {
         return;
     };
     let permille = (load.imbalance_ratio() * 1000.0) as u64;
     let c = &shared.counters;
     c.shard_imbalance_permille
         .store(permille, Ordering::Relaxed);
-    if load.total_ops() < config.min_ops || permille < config.max_imbalance_permille {
+    if *refused || load.total_ops() < config.min_ops || permille < config.max_imbalance_permille {
         return;
     }
-    if let Some(report) = backend.rebalance_shards() {
-        c.rebalances.fetch_add(1, Ordering::Relaxed);
-        c.rebalanced_rows
-            .fetch_add(report.moved_rows, Ordering::Relaxed);
-        shared.refresh_gauges(backend);
+    let Some(ix) = backend.as_updatable_mut() else {
+        return;
+    };
+    match ix.rebalance_shards() {
+        Ok(report) => {
+            c.rebalances.fetch_add(1, Ordering::Relaxed);
+            c.rebalanced_rows
+                .fetch_add(report.moved_rows, Ordering::Relaxed);
+            shared.refresh_gauges(backend);
+        }
+        Err(err) => {
+            c.rebalance_failures.fetch_add(1, Ordering::Relaxed);
+            *refused = matches!(err, IndexError::UnsupportedOperation { .. });
+        }
     }
 }
 
@@ -1228,8 +1203,8 @@ mod tests {
         fn key_count(&self) -> usize {
             self.rows.lock().unwrap().len()
         }
-        fn memory_bytes(&self) -> u64 {
-            16
+        fn memory_usage(&self) -> MemoryUsage {
+            MemoryUsage::base_only(16)
         }
         fn build_metrics(&self) -> IndexBuildMetrics {
             IndexBuildMetrics::default()

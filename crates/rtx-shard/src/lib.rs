@@ -87,7 +87,8 @@ mod tests {
     use super::*;
     use gpu_device::Device;
     use rtx_query::{
-        IndexError, IndexSpec, Partitioning, QueryBatch, Registry, SecondaryIndex, ShardSpec,
+        Capabilities, IndexBuildMetrics, IndexError, IndexSpec, MemoryUsage, Partitioning,
+        QueryBatch, Registry, SecondaryIndex, ShardSpec, UpdateReport,
     };
     use rtx_workloads as wl;
     use rtx_workloads::truth::DynamicOracle;
@@ -480,6 +481,67 @@ mod tests {
             read_only.rebalance(),
             Err(IndexError::UnsupportedOperation { .. })
         ));
+    }
+
+    /// An updatable layer that links its reads but no write-side hooks:
+    /// it cannot compact or snapshot its rows.
+    struct Opaque(Box<dyn UpdatableIndex>);
+
+    impl SecondaryIndex for Opaque {
+        fn name(&self) -> &str {
+            "OPAQUE"
+        }
+        fn key_count(&self) -> usize {
+            self.0.key_count()
+        }
+        fn build_metrics(&self) -> IndexBuildMetrics {
+            self.0.build_metrics()
+        }
+        fn capabilities(&self) -> Capabilities {
+            self.0.capabilities()
+        }
+        fn has_value_column(&self) -> bool {
+            self.0.has_value_column()
+        }
+        fn memory_usage(&self) -> MemoryUsage {
+            self.0.memory_usage()
+        }
+        fn inner(&self) -> Option<&dyn SecondaryIndex> {
+            Some(&*self.0)
+        }
+    }
+
+    impl UpdatableIndex for Opaque {
+        fn insert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError> {
+            self.0.insert(keys, values)
+        }
+        fn delete(&mut self, keys: &[u64]) -> Result<UpdateReport, IndexError> {
+            self.0.delete(keys)
+        }
+        fn upsert(&mut self, keys: &[u64], values: &[u64]) -> Result<UpdateReport, IndexError> {
+            self.0.upsert(keys, values)
+        }
+    }
+
+    #[test]
+    fn rebalance_over_shards_that_cannot_snapshot_fails_loudly() {
+        let device = Device::default_eval();
+        let mut registry = registry();
+        let plain = std::sync::Arc::new(self::registry());
+        registry.register_updatable("OPAQUE", move |spec| {
+            let inner = plain.build_updatable("RXD", spec)?;
+            Ok(Box::new(Opaque(inner)) as Box<dyn UpdatableIndex>)
+        });
+        let keys: Vec<u64> = (0..400).collect();
+        let spec = IndexSpec::keys_only(&device, &keys);
+        let mut ix =
+            ShardedIndex::build_updatable(&registry, &ShardSpec::hash("OPAQUE", 4), &spec).unwrap();
+        ix.execute(&QueryBatch::of_points(&[5; 256])).unwrap();
+        assert!(matches!(
+            ix.rebalance(),
+            Err(IndexError::UnsupportedOperation { .. })
+        ));
+        assert_eq!(ix.key_count(), 400, "nothing moved");
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl ShardBackend {
     fn read(&self) -> &dyn SecondaryIndex {
         match self {
             ShardBackend::Read(ix) => ix.as_ref(),
-            ShardBackend::Write(ix) => ix.as_ref() as &dyn UpdatableIndex as &dyn SecondaryIndex,
+            ShardBackend::Write(ix) => ix.as_ref(),
         }
     }
 
@@ -651,8 +651,9 @@ impl ShardedIndex {
     /// service route this through the write fence (`rtx-serve` does).
     ///
     /// Per-shard op counters reset afterwards, starting a fresh observation
-    /// window. Read-only sharded indexes report `UnsupportedOperation`;
-    /// single-shard and non-snapshottable backends report an empty pass.
+    /// window. A single shard has nowhere to move rows and reports an
+    /// empty pass; read-only shards, and shards that cannot compact or
+    /// snapshot their rows, report `UnsupportedOperation`.
     pub fn rebalance(&mut self) -> Result<RebalanceReport, IndexError> {
         self.writable()?;
         if self.shards.len() < 2 {
@@ -666,17 +667,12 @@ impl ShardedIndex {
         let triples = match self.shard_checkpoint_rows() {
             Some(t) => t,
             None => {
-                match self.compact() {
-                    Ok(report) => reorganisations += report.reorganisations,
-                    Err(IndexError::UnsupportedOperation { .. }) => {
-                        return Ok(RebalanceReport::default())
-                    }
-                    Err(e) => return Err(e),
-                }
-                match self.shard_checkpoint_rows() {
-                    Some(t) => t,
-                    None => return Ok(RebalanceReport::default()),
-                }
+                reorganisations += self.compact()?.reorganisations;
+                self.shard_checkpoint_rows()
+                    .ok_or_else(|| IndexError::UnsupportedOperation {
+                        backend: Arc::clone(&self.label),
+                        operation: "rebalancing shards that cannot snapshot their rows",
+                    })?
             }
         };
 
@@ -1182,13 +1178,6 @@ impl SecondaryIndex for ShardedIndex {
             .sum()
     }
 
-    fn memory_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.backend.read().memory_bytes())
-            .sum()
-    }
-
     fn build_metrics(&self) -> IndexBuildMetrics {
         self.build_metrics
     }
@@ -1229,7 +1218,7 @@ impl SecondaryIndex for ShardedIndex {
         self.execute(&QueryBatch::of_ranges(ranges).fetch_values(fetch_values))
     }
 
-    /// Scatter/gather execution: the batch is planned into per-shard SoA
+    /// Scatter/gather execution: the stream is planned into per-shard SoA
     /// sub-batches which run concurrently on the worker pool; outcomes are
     /// translated to global rowIDs and gathered back into submission order
     /// with merged metrics. Results are identical to executing the batch on
@@ -1240,22 +1229,6 @@ impl SecondaryIndex for ShardedIndex {
     /// so steady-state sharded execution reuses all of its scratch. The
     /// caller's `arena` is not used — the per-shard pool is the sharded
     /// equivalent.
-    fn execute_in(
-        &self,
-        batch: &QueryBatch,
-        _arena: &mut ExecArena,
-    ) -> Result<QueryOutcome, IndexError> {
-        self.validate(batch.fetches_values(), batch.range_count() > 0)?;
-        let mut plan = self.check_out_plan();
-        plan.replan(batch, self.router.as_ref());
-        let result = self.execute_planned(&plan);
-        self.check_in_plan(plan);
-        result
-    }
-
-    /// SoA entry point — identical to
-    /// [`execute_in`](SecondaryIndex::execute_in) but replans straight from
-    /// the [`QueryOps`] stream.
     fn execute_ops_in(
         &self,
         ops: &QueryOps,

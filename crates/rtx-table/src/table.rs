@@ -52,8 +52,8 @@ use optix_sim::LaunchMetrics;
 use rtx_query::{
     parse_durable_name, parse_schema_name, ColumnType, ExplainPlan, IndexDef, IndexError,
     IndexSpec, IngestBatch, IngestOp, KeySchema, KeyTuple, KeyValue, LookupResult, Predicate,
-    QueryBatch, QueryOp, Record, Registry, Route, SecondaryIndex, ShardSpec, TableQuery,
-    TableSchema, TypedBatch, TypedOp, UpdatableIndex, MISS,
+    QueryBatch, QueryOp, Record, Registry, Route, SecondaryIndex, TableQuery, TableSchema,
+    TypedBatch, TypedOp, UpdatableIndex, MISS,
 };
 
 use crate::planner::{CandidateView, Planner, ProbeCost};
@@ -734,9 +734,9 @@ fn build_index_state(
         def: def.clone(),
         columns: columns.to_vec(),
         schema: None,
+        compact_mirror_on_reorg: rowids_renumber_on_reorg(&backend),
         backend,
         mirror: Mirror::dense(&keys, &rows),
-        compact_mirror_on_reorg: rowids_renumber_on_reorg(&def.spec),
         probe,
     })
 }
@@ -799,24 +799,20 @@ fn build_composite_state(
         def: def.clone(),
         columns: columns.to_vec(),
         schema: Some(schema),
+        compact_mirror_on_reorg: rowids_renumber_on_reorg(&backend),
         backend,
         mirror: Mirror::dense(&leading, &rows),
-        compact_mirror_on_reorg: rowids_renumber_on_reorg(&def.spec),
         probe,
     })
 }
 
 /// Whether the backend's rowID space renumbers when an update report
 /// carries `reorganisations > 0`. Monolithic dynamic backends renumber
-/// densely; sharded specs keep stable outer rowIDs (their per-shard
-/// mirrors absorb the renumbering).
-fn rowids_renumber_on_reorg(spec: &str) -> bool {
-    // Brace schemas sit anywhere in the name; strip them before looking
-    // for the shard production.
-    let stripped = parse_schema_name(spec).ok().flatten().map(|(rest, _)| rest);
-    let spec = stripped.as_deref().unwrap_or(spec);
-    let base = parse_durable_name(spec).map(|(b, _)| b).unwrap_or(spec);
-    ShardSpec::parse(base).is_none()
+/// densely; sharded ones keep stable outer rowIDs (their per-shard
+/// mirrors absorb the renumbering). Every layer forwards the shard load
+/// of what it wraps, so the built index answers this, whatever its spec.
+fn rowids_renumber_on_reorg(backend: &Backend) -> bool {
+    backend.as_index().shard_load().is_none()
 }
 
 /// Resets the WAL directory of a `"+wal:<path>"` spec before a build, so
@@ -854,15 +850,5 @@ mod tests {
         // Survivors renumber densely: locals 0,1 now map to rows 1,7.
         assert_eq!((m.global(0), m.global(1)), (1, 7));
         assert_eq!(m.sample_keys(8), vec![20, 30]);
-    }
-
-    #[test]
-    fn sharded_specs_keep_stable_outer_rowids() {
-        assert!(rowids_renumber_on_reorg("RXD"));
-        assert!(rowids_renumber_on_reorg("RXD+wal:/tmp/x"));
-        assert!(rowids_renumber_on_reorg("RXD:sah"));
-        assert!(!rowids_renumber_on_reorg("RXD@4"));
-        assert!(!rowids_renumber_on_reorg("RXD:sah@4:hash"));
-        assert!(!rowids_renumber_on_reorg("RXD@2+wal:/tmp/x"));
     }
 }

@@ -10,7 +10,10 @@
 //! [`ServiceStats`] mirrors the backend's durability counters and memory
 //! accounting.
 
-use rtindex::{registry, ClientHandle, Device, IndexSpec, QueryBatch, QueryService, ServiceConfig};
+use rtindex::{
+    registry, ClientHandle, Device, IndexSpec, QueryBatch, QueryService, RebalanceConfig,
+    ServiceConfig,
+};
 use rtx_workloads::{
     dense_shuffled, mixed_ops, value_column, DynamicOracle, MixedOp, MixedWorkloadConfig,
 };
@@ -122,5 +125,50 @@ fn durable_service_reopens_mid_stream_and_stays_oracle_exact() {
         "the resumed service appended to the reopened WAL"
     );
     assert!(stats.memory.base_bytes > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sharded durable backend shows its hot shard through the service, but
+/// refuses to migrate rows (migrations are not logged): the service counts
+/// the refusal once, stops asking, and keeps the imbalance gauge current.
+#[test]
+fn sharded_durable_service_reports_imbalance_and_stops_refused_rebalances() {
+    let device = Device::default_eval();
+    let dir = std::env::temp_dir().join(format!(
+        "rtx-durable-service-rebalance-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let keys: Vec<u64> = (0..2000).collect();
+    let values: Vec<u64> = keys.iter().map(|k| k * 3).collect();
+    let backend = registry()
+        .build_updatable(
+            &format!("RXD@4+wal:{}", dir.display()),
+            &IndexSpec::with_values(&device, &keys, &values),
+        )
+        .expect("sharded durable backend");
+    let config = ServiceConfig::new()
+        .with_linger(std::time::Duration::ZERO)
+        .with_rebalance(
+            RebalanceConfig::new()
+                .with_min_ops(256)
+                .with_max_imbalance_permille(1200),
+        );
+    let service = QueryService::start_updatable(backend, config);
+    let handle = service.handle();
+
+    // One hot key: past the thresholds after every drain from here on.
+    let hot = QueryBatch::of_points(&[42; 64]);
+    for _ in 0..16 {
+        assert_eq!(handle.query(hot.clone()).unwrap().hit_count(), 64);
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.rebalance_failures, 1, "refused once, then not asked");
+    assert_eq!((stats.rebalances, stats.rebalanced_rows), (0, 0));
+    assert!(
+        stats.shard_imbalance_permille > 1200,
+        "the gauge keeps publishing the hot shard: {stats:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -20,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rtindex::rtx_query::{BatchOutcome, IndexBuildMetrics, LookupResult, MISS};
+use rtindex::rtx_query::{BatchOutcome, IndexBuildMetrics, LookupResult, MemoryUsage, MISS};
 use rtindex::{
     Capabilities, ExecArena, IndexError, QueryBatch, QueryService, SecondaryIndex, ServiceConfig,
 };
@@ -110,8 +110,8 @@ impl SecondaryIndex for MirrorIndex {
     fn key_count(&self) -> usize {
         self.rows.len()
     }
-    fn memory_bytes(&self) -> u64 {
-        (self.rows.len() * std::mem::size_of::<(u64, u64, u32)>()) as u64
+    fn memory_usage(&self) -> MemoryUsage {
+        MemoryUsage::base_only((self.rows.len() * std::mem::size_of::<(u64, u64, u32)>()) as u64)
     }
     fn build_metrics(&self) -> IndexBuildMetrics {
         IndexBuildMetrics::default()
